@@ -8,8 +8,9 @@ rows the paper reports can be inspected after a run:
     pytest benchmarks/ --benchmark-only
 
 Experiments run their *quick* configuration here; the full
-configurations (the numbers recorded in EXPERIMENTS.md) are regenerated
-with ``python -m repro reproduce --full``.
+configurations are regenerated with ``python -m repro reproduce --full``.
+The rendered tables live in ``benchmarks/output/``, and
+``docs/paper-map.md`` maps each one to the paper claim it checks.
 """
 
 from __future__ import annotations

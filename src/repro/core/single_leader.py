@@ -25,14 +25,24 @@ Engine notes (the hot path):
 * scheduling is *batch-granular* on the batch engine, via skip-tick
   chains: each node pre-draws
   :attr:`~repro.engine.simulator.Simulator.tick_window` future tick
-  times per refill and bulk-inserts the whole line-1 0-signal fan-out
-  with one :meth:`~repro.engine.simulator.Simulator.schedule_many_at`
-  call; tick *events* exist only while the node is unlocked (a locked
-  tick is a no-op by lines 3-4, so it is counted at unlock — exactly
-  as many as the event engine would dispatch — never dispatched).
+  times (and their line-1 0-signal latencies) per refill; tick
+  *events* exist only while the node is unlocked (a locked tick is a
+  no-op by lines 3-4, so it is counted at unlock — exactly as many as
+  the event engine would dispatch — never dispatched).
   With window 1 (the heap fallback, or block-1 pools) everything
   degenerates to the event-granular draw/push sequence of the
   pre-batching engine, draw-for-draw and seq-for-seq;
+* *leader-signal elision* (skip-tick mode on a simulator no fault
+  wrapper intercepts): Algorithm 3 only counts 0-signals, and the one
+  arrival that matters per phase is the ``C3·n``-th after a generation
+  reset, which sets ``prop``.  So 0-signal arrival times go into a
+  per-phase buffer instead of the queue; a bounded max-heap keeps the
+  threshold smallest, and one ``_crossing`` event waits at its maximum
+  (re-pushed, with a fresh phase token, only when an extension lowers
+  it).  The leader's counters are reconciled at every crossing, every
+  reset and at run end, so counters, phase records and
+  ``events_executed`` equal those of a run that dispatches every
+  signal;
 * payloads are node ids (ticks/signals) or ``(node, first, second)``
   triples (exchanges) — no per-event closures;
 * per-node state lives in plain Python lists (``gens``, ``cols``,
@@ -48,6 +58,8 @@ The seed scalar-draw implementation is preserved in
 """
 
 from __future__ import annotations
+
+from heapq import heapreplace
 
 import numpy as np
 
@@ -232,10 +244,25 @@ class SingleLeaderSim:
         # that can matter (the node is unlocked) become events; ticks
         # elapsing while the node is locked mid-cycle are no-ops by
         # Algorithm 2 and are counted exactly at unlock instead of
-        # dispatched.  Their line-1 0-signals are real events either
-        # way, bulk-inserted one latency-pool block per chain extension.
+        # dispatched.  Their line-1 0-signals are elided (buffered and
+        # counted, see the module docstring) unless a fault wrapper
+        # intercepts the simulator; then they are real events,
+        # bulk-inserted one latency-pool block per chain extension.
         self._window = self.sim.tick_window
         self._skip = self._window > 1
+        self._elide = self._skip and not self.sim.intercepted
+        #: Elision state: the current phase's 0-signal arrivals not yet
+        #: folded into the leader's counters, the negated max-heap of the
+        #: phase's ``_need`` smallest arrivals (armed once that many are
+        #: buffered, while ``prop`` is False), the token of the live
+        #: ``_crossing`` event, and the elided signals and crossing
+        #: events not yet reported to the simulator.
+        self._signals: list[float] = []
+        self._nearest: list[float] = []
+        self._need = params.prop_signal_threshold
+        self._token = 0
+        self._elided = 0
+        self._crossings = 0
         schedule_in = self.sim.schedule_in
         tick = self._tick
         wait = self._tick_wait
@@ -247,11 +274,17 @@ class SingleLeaderSim:
             self._chain: list[list[float]] = [[] for _ in range(self.n)]
             self._cptr: list[int] = [0] * self.n
             self._tick_pending: list[bool] = [True] * self.n
+            arrivals = []
             for node in range(self.n):
                 first_tick = now + wait()
                 self._chain[node].append(first_tick)
                 schedule(first_tick, tick, node)
-                schedule(first_tick + latency(), signal)
+                if self._elide:
+                    arrivals.append(first_tick + latency())
+                else:
+                    schedule(first_tick + latency(), signal)
+            if arrivals:
+                self._admit_signals(arrivals)
         else:
             for node in range(self.n):
                 schedule_in(wait(), tick, node)
@@ -304,10 +337,10 @@ class SingleLeaderSim:
     def _leader_signal(self, i: int = 0) -> None:
         leader = self.leader
         if i == 0:
-            # Inlined Leader.on_signal zero-path: 0-signals are ~2/3 of
-            # all events, and all but one per phase are pure counter
-            # bumps.  Mirrors Leader.on_signal exactly (pinned by the
-            # block-1 replay suite).
+            # Inlined Leader.on_signal zero-path: without elision
+            # 0-signals are ~2/3 of all events, and all but one per
+            # phase are pure counter bumps.  Mirrors Leader.on_signal
+            # exactly (pinned by the block-1 replay suite).
             leader.zero_signals += 1
             count = leader.tick_count + 1
             leader.tick_count = count
@@ -320,8 +353,119 @@ class SingleLeaderSim:
                 )
             )
         else:
+            gen = leader.gen
             leader.on_signal(i, self.sim.now)
-        changes = self.leader.phase_changes
+            if self._elide and leader.gen != gen:
+                self._reset_signals()
+        self._note_phase_changes()
+
+    # ------------------------------------------------------------------
+    # leader-signal elision (see the module docstring)
+    # ------------------------------------------------------------------
+    def _admit_signals(self, arrivals: list[float]) -> None:
+        """Buffer 0-signal arrivals; keep the crossing event on the threshold-th."""
+        self._signals += arrivals
+        if self.leader.prop:
+            return
+        nearest = self._nearest
+        if not nearest:
+            self._arm_crossing()
+        elif min(arrivals) < -nearest[0]:
+            for arrival in arrivals:
+                if arrival < -nearest[0]:
+                    heapreplace(nearest, -arrival)
+            self._token += 1
+            self.sim.schedule(-nearest[0], self._crossing, self._token)
+
+    def _arm_crossing(self) -> None:
+        """Once the phase holds enough arrivals, wait at the threshold-th.
+
+        Arms the bounded max-heap (negated) of the phase's smallest
+        pending arrivals; until then nothing needs ordering.
+        """
+        need = self._need - self.leader.tick_count
+        if len(self._signals) < need:
+            return
+        # A sort beats heapq.nsmallest here: need is most of the buffer.
+        ordered = sorted(self._signals, reverse=True)
+        self._nearest = [-arrival for arrival in ordered[len(ordered) - need:]]
+        self._token += 1
+        self.sim.schedule(-self._nearest[0], self._crossing, self._token)
+
+    def _fold_signals(self, count: int) -> None:
+        """Credit ``count`` buffered arrivals to the leader's counters."""
+        leader = self.leader
+        leader.zero_signals += count
+        leader.tick_count += count
+        self._elided += count
+
+    def _crossing(self, token: int) -> None:
+        """The phase's threshold-th 0-signal arrives: ``prop ← True``."""
+        self._crossings += 1
+        if token != self._token:
+            return  # superseded by a lower crossing or a reset
+        now = self.sim.now
+        leader = self.leader
+        signals = self._signals
+        later = [arrival for arrival in signals if arrival > now]
+        # The phase's arrivals up to the threshold-th have reached the
+        # leader.  Overdue extensions clamp arrivals to the clock, so
+        # some after it can share this instant; they stay buffered.
+        reached = self._need - leader.tick_count
+        self._fold_signals(reached)
+        self._signals = later + [now] * (len(signals) - len(later) - reached)
+        self._nearest = []
+        leader.prop = True
+        leader.phase_changes.append(
+            LeaderPhaseChange(kind="propagation", time=now, generation=leader.gen)
+        )
+        self._note_phase_changes()
+
+    def _reset_signals(self) -> None:
+        """A gen-signal reset at now: split the buffer between the phases."""
+        now = self.sim.now
+        signals = self._signals
+        later = [arrival for arrival in signals if arrival > now]
+        # Arrivals up to the reset count for the old phase, whose tick
+        # counter the reset already discarded.
+        count = len(signals) - len(later)
+        self.leader.zero_signals += count
+        self._elided += count
+        self._signals = later
+        self._token += 1  # strands the old phase's crossing
+        self._nearest = []
+        self._arm_crossing()
+
+    def _settle_signals(self) -> None:
+        """Fold the arrivals before the clock in and report elision."""
+        now = self.sim.now
+        signals = self._signals
+        later = [arrival for arrival in signals if arrival >= now]
+        self._fold_signals(len(signals) - len(later))
+        self._signals = later
+        self.sim.record_elided(self._elided, self._crossings)
+        self._elided = self._crossings = 0
+
+    def _stop_eliding(self, schedule_many_at) -> None:
+        """Schedule buffered and future 0-signals as events from now on.
+
+        Called when a fault wrapper is bound to an already-built
+        protocol; ``schedule_many_at`` is the wrapper's raw seam.
+        """
+        if not self._elide:
+            return
+        self._settle_signals()
+        self._elide = False
+        self._token += 1  # strands a queued crossing
+        self._nearest = []
+        if self._signals:
+            schedule_many_at(self._signals, self._leader_signal)
+        self._signals = []
+
+    def _note_phase_changes(self) -> None:
+        """Trace and snapshot the leader transitions not yet seen."""
+        leader = self.leader
+        changes = leader.phase_changes
         while self._phase_changes_seen < len(changes):
             change = changes[self._phase_changes_seen]
             self._phase_changes_seen += 1
@@ -357,11 +501,12 @@ class SingleLeaderSim:
         """Pre-draw the node's next tick window and its 0-signal fan-out.
 
         One pool-block take each for waits and latencies, one cumsum for
-        the tick times, and one bulk insert for the whole line-1 signal
-        block — the signals are real events (the leader must count them
-        whether or not the sending node's tick itself needs dispatching).
-        The tick times only extend the chain; tick *events* are created
-        lazily for unlocked nodes (see :meth:`_tick` / :meth:`_unlock`).
+        the tick times, and the whole line-1 signal block handed over at
+        once — buffered when eliding, else one bulk insert (the leader
+        must count every signal whether or not the sending node's tick
+        itself needs dispatching).  The tick times only extend the
+        chain; tick *events* are created lazily for unlocked nodes (see
+        :meth:`_tick` / :meth:`_unlock`).
         """
         window = self._window
         self.refills += 1
@@ -388,7 +533,10 @@ class SingleLeaderSim:
             # pre-drawn window) delivers overdue signals immediately
             # rather than in the past.
             sigs.append(arrival if arrival > now else now)
-        self.sim.schedule_many_at(sigs, self._leader_signal)
+        if self._elide:
+            self._admit_signals(sigs)
+        else:
+            self.sim.schedule_many_at(sigs, self._leader_signal)
 
     def _schedule_next_tick(self, node: int) -> None:
         """Arrange the next tick *event* (the next chain time ahead of now)."""
@@ -636,6 +784,9 @@ class SingleLeaderSim:
             self.sim.run(until=max_time, stop_when=done)
         else:
             self.sim.run(until=max_time)
+        # The stopping event is the last dispatched, so exactly the
+        # elided arrivals before the clock have reached the leader.
+        self._settle_signals()
         if self._skip:
             # Ticks that elapsed while a node sat locked at the end of
             # the run were never dispatched; count them so total_ticks

@@ -31,10 +31,19 @@ import numpy as np
 
 from repro.errors import SchedulingError
 
-__all__ = ["EventQueue", "BatchEventQueue"]
+__all__ = ["EventQueue", "BatchEventQueue", "block_min"]
 
 #: One scheduled occurrence: ``(time, seq, action, payload)``.
 Entry = tuple[float, int, Callable[..., Any], Any]
+
+
+def block_min(times: "Sequence[float] | np.ndarray") -> float:
+    """Earliest time of a non-empty bulk block; NaN if it holds a NaN."""
+    if isinstance(times, np.ndarray):
+        return float(times.min())  # np.min propagates NaN
+    total = sum(times)  # a NaN anywhere poisons the sum
+    return min(times) if total == total else float("nan")
+
 
 class EventQueue:
     """A binary-heap priority queue of ``(time, seq, action, payload)`` tuples.
@@ -245,6 +254,21 @@ class BatchEventQueue:
         stored as-is and flushed into the heap only when the clock gets
         near it.  Times must not contain NaN.
         """
+        lo = block_min(times) if len(times) else float("inf")
+        if lo != lo:
+            raise SchedulingError("cannot schedule an event at time NaN")
+        return self.push_block(times, action, payloads, lo)
+
+    def push_block(
+        self,
+        times: "Sequence[float] | np.ndarray",
+        action: Callable[..., Any],
+        payloads: Sequence[Any] | None,
+        lo: float,
+    ) -> range:
+        """:meth:`push_many` for a block whose minimum ``lo`` the caller
+        has computed and checked (``Simulator.schedule_many_at``), so the
+        block is not scanned twice."""
         k = len(times)
         if payloads is not None and len(payloads) != k:
             raise SchedulingError(
@@ -256,15 +280,6 @@ class BatchEventQueue:
             self._live.update(range(start, start + k))
         if not k:
             return range(start, start)
-        if isinstance(times, np.ndarray):
-            lo = float(times.min())  # np.min propagates NaN
-        else:
-            lo = min(times)
-            total = sum(times)  # a NaN anywhere poisons the sum
-            if total != total:
-                lo = float("nan")
-        if lo != lo:
-            raise SchedulingError("cannot schedule an event at time NaN")
         self._blk.append((times, action, payloads, start))
         if lo < self._blk_min:
             self._blk_min = lo

@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 import repro.engine.rng as engine_rng
-from repro.engine.events import BatchEventQueue, EventQueue
+from repro.engine.events import BatchEventQueue, EventQueue, block_min
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -98,12 +98,36 @@ class Simulator:
         self.now = 0.0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._events_executed = 0
+        #: Protocol events counted without a dispatch of their own (see
+        #: :meth:`record_elided`).
+        self.events_elided = 0
+        #: Set by a wrapper that intercepts the scheduling methods (fault
+        #: injection): protocols then schedule every event they would
+        #: otherwise elide, so the wrapper sees each one.
+        self.intercepted = False
         self._stop_requested = False
 
     @property
     def events_executed(self) -> int:
-        """Number of events executed so far (telemetry)."""
+        """Protocol events executed so far (telemetry).
+
+        Elided events count once their protocol reports them through
+        :meth:`record_elided` (the single-leader protocols do so at run
+        end).
+        """
         return self._events_executed
+
+    def record_elided(self, elided: int, stand_ins: int) -> None:
+        """Count ``elided`` protocol events that were never dispatched.
+
+        A protocol that folds events into its state instead of queueing
+        them (the single-leader 0-signals) reports them here, together
+        with the ``stand_ins``: the bookkeeping events it dispatched in
+        their place.  :attr:`events_executed` stays the count of protocol
+        events, so it does not depend on whether elision ran.
+        """
+        self.events_elided += elided
+        self._events_executed += elided - stand_ins
 
     @property
     def batched(self) -> bool:
@@ -196,23 +220,32 @@ class Simulator:
         times: Sequence[float],
         action: Callable[..., Any],
         payloads: Sequence[Any] | None = None,
+        *,
+        ascending: bool = False,
     ) -> range:
         """Bulk-schedule ``action`` at each *absolute* simulated time.
 
         The absolute-time twin of :meth:`schedule_many` — the protocol
         hot path uses it because window refills compute cumulative tick
-        times anyway.  Past times (and a NaN in first position) raise;
-        semantics otherwise match :meth:`schedule_many`.
+        times anyway.  Past and NaN times raise; semantics otherwise
+        match :meth:`schedule_many`.  ``ascending=True`` promises a
+        sorted block (a cumsum of waits), so only its first time is
+        checked against the clock and its last for NaN, which a cumsum
+        carries forward.
         """
         queue = self.queue
         if self._batched:
-            if len(times):
-                lo = times.min() if isinstance(times, np.ndarray) else min(times)
-                if not lo >= self.now:
-                    raise SchedulingError(
-                        f"bulk schedule contains a past or NaN time (now={self.now})"
-                    )
-            return queue.push_many(times, action, payloads)
+            if not len(times):
+                lo = float("inf")
+            elif ascending:
+                lo = times[0] if times[-1] == times[-1] else float("nan")
+            else:
+                lo = block_min(times)
+            if not lo >= self.now:  # rejects past times and NaN
+                raise SchedulingError(
+                    f"bulk schedule contains a past or NaN time (now={self.now})"
+                )
+            return queue.push_block(times, action, payloads, lo)
         now = self.now
         seq = queue._next_seq
         start = seq
@@ -258,6 +291,7 @@ class Simulator:
             return
         metrics.counter(f"engine.runs.{self.engine}").inc()
         metrics.counter("engine.events_executed").inc(self._events_executed)
+        metrics.counter("engine.events_elided").inc(self.events_elided)
         metrics.add_counters(self.queue.stats(), prefix="engine.")
 
     def stop(self) -> None:
@@ -470,4 +504,4 @@ def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int
     ticks = np.cumsum(waits)
     ticks += sim.now
     sim.schedule_in(float(waits[0]), tick, node)  # soonest tick: scalar
-    sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1))
+    sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1), ascending=True)

@@ -36,7 +36,11 @@ wrapper exists, so each node's very first tick escapes the churn guard
 — construct the protocol over :func:`prepare_faulty_simulator`'s
 pre-wrapped simulator to close that hole; (2) a crashed node's
 already-scheduled 0-signals still arrive (in-flight messages survive
-their sender's crash), bounded by one tick window.
+their sender's crash), bounded by one tick window.  Fault-free
+single-leader runs elide 0-signals (the leader counts them instead of
+dispatching each one, see :mod:`repro.core.single_leader`); a wrapped
+simulator switches that off, so under faults every 0-signal is a real
+event that meets the transform chain.
 
 Randomness flows from the generator handed to :func:`inject_faults`
 through block-prefetched pools (:mod:`repro.engine.rng`), so faulty
@@ -454,11 +458,23 @@ class FaultInjection:
         sim.schedule_in = self._schedule_in
         sim.schedule_many = self._schedule_many
         sim.schedule_many_at = self._schedule_many_at
+        # Protocols built on this simulator schedule every event (no
+        # leader-signal elision), so each one meets the transform chain.
+        sim.intercepted = True
         for fault in self.faults:
             fault.install(self)
 
     def bind(self, sim_obj: Any) -> "FaultInjection":
-        """Attach the protocol object (unlock/reset seam) after construction."""
+        """Attach the protocol object (unlock/reset seam) after construction.
+
+        A protocol built before the wrapper existed (the
+        :func:`inject_faults` path) may hold elided 0-signals; they are
+        handed to the raw queue, as they were scheduled before the
+        wrapper, and the protocol schedules every later one through it.
+        """
+        stop_eliding = getattr(sim_obj, "_stop_eliding", None)
+        if stop_eliding is not None:
+            stop_eliding(self._original_schedule_many_at)
         self.adapter = ProtocolAdapter(sim_obj)
         return self
 
@@ -481,7 +497,9 @@ class FaultInjection:
             for delay, payload in zip(delays, payloads)
         ]
 
-    def _schedule_many_at(self, times, action: Callable, payloads=None) -> list[int]:
+    def _schedule_many_at(
+        self, times, action: Callable, payloads=None, *, ascending: bool = False
+    ) -> list[int]:
         """Bulk seam (absolute times): per-event transform chain."""
         now = self.sim.now
         if payloads is None:
