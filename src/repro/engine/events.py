@@ -25,25 +25,17 @@ cancel (all the protocol simulators) skip the set bookkeeping entirely.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import SchedulingError
 
-__all__ = ["EventQueue", "BatchEventQueue", "block_min"]
+__all__ = ["EventQueue", "BatchEventQueue"]
 
 #: One scheduled occurrence: ``(time, seq, action, payload)``.
 Entry = tuple[float, int, Callable[..., Any], Any]
-
-
-def block_min(times: "Sequence[float] | np.ndarray") -> float:
-    """Earliest time of a non-empty bulk block; NaN if it holds a NaN."""
-    if isinstance(times, np.ndarray):
-        return float(times.min())  # np.min propagates NaN
-    total = sum(times)  # a NaN anywhere poisons the sum
-    return min(times) if total == total else float("nan")
-
 
 class EventQueue:
     """A binary-heap priority queue of ``(time, seq, action, payload)`` tuples.
@@ -245,6 +237,8 @@ class BatchEventQueue:
         times: "Sequence[float] | np.ndarray",
         action: Callable[..., Any],
         payloads: Sequence[Any] | None = None,
+        *,
+        not_before: float = -math.inf,
     ) -> range:
         """Bulk-schedule ``action`` at each absolute time; returns the seq handles.
 
@@ -252,34 +246,33 @@ class BatchEventQueue:
         dispatches with no arguments).  ``times`` may be a list or numpy
         array (protocol refills pass pool-array views); the block is
         stored as-is and flushed into the heap only when the clock gets
-        near it.  Times must not contain NaN.
+        near it.  Times must not contain NaN nor lie before
+        ``not_before`` (the simulator passes its clock); one scan for the
+        block's earliest time checks both, and a bad block is rejected
+        whole.
         """
-        lo = block_min(times) if len(times) else float("inf")
-        if lo != lo:
-            raise SchedulingError("cannot schedule an event at time NaN")
-        return self.push_block(times, action, payloads, lo)
-
-    def push_block(
-        self,
-        times: "Sequence[float] | np.ndarray",
-        action: Callable[..., Any],
-        payloads: Sequence[Any] | None,
-        lo: float,
-    ) -> range:
-        """:meth:`push_many` for a block whose minimum ``lo`` the caller
-        has computed and checked (``Simulator.schedule_many_at``), so the
-        block is not scanned twice."""
         k = len(times)
         if payloads is not None and len(payloads) != k:
             raise SchedulingError(
                 f"push_many got {k} times but {len(payloads)} payloads"
             )
         start = self._next_seq
+        if not k:
+            return range(start, start)
+        if isinstance(times, np.ndarray):
+            lo = float(times.min())  # np.min propagates NaN
+        else:
+            lo = min(times)
+            total = sum(times)  # a NaN anywhere poisons the sum
+            if total != total:
+                lo = float("nan")
+        if not lo >= not_before:  # rejects NaN too
+            raise SchedulingError(
+                f"bulk schedule contains a NaN time or one before {not_before}"
+            )
         self._next_seq = start + k
         if self._live is not None:
             self._live.update(range(start, start + k))
-        if not k:
-            return range(start, start)
         self._blk.append((times, action, payloads, start))
         if lo < self._blk_min:
             self._blk_min = lo

@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 import repro.engine.rng as engine_rng
-from repro.engine.events import BatchEventQueue, EventQueue, block_min
+from repro.engine.events import BatchEventQueue, EventQueue
 from repro.engine.tracing import NULL_TRACER, Tracer
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -220,32 +220,17 @@ class Simulator:
         times: Sequence[float],
         action: Callable[..., Any],
         payloads: Sequence[Any] | None = None,
-        *,
-        ascending: bool = False,
     ) -> range:
         """Bulk-schedule ``action`` at each *absolute* simulated time.
 
         The absolute-time twin of :meth:`schedule_many` — the protocol
         hot path uses it because window refills compute cumulative tick
         times anyway.  Past and NaN times raise; semantics otherwise
-        match :meth:`schedule_many`.  ``ascending=True`` promises a
-        sorted block (a cumsum of waits), so only its first time is
-        checked against the clock and its last for NaN, which a cumsum
-        carries forward.
+        match :meth:`schedule_many`.
         """
         queue = self.queue
         if self._batched:
-            if not len(times):
-                lo = float("inf")
-            elif ascending:
-                lo = times[0] if times[-1] == times[-1] else float("nan")
-            else:
-                lo = block_min(times)
-            if not lo >= self.now:  # rejects past times and NaN
-                raise SchedulingError(
-                    f"bulk schedule contains a past or NaN time (now={self.now})"
-                )
-            return queue.push_block(times, action, payloads, lo)
+            return queue.push_many(times, action, payloads, not_before=self.now)
         now = self.now
         seq = queue._next_seq
         start = seq
@@ -504,4 +489,4 @@ def schedule_tick_window(sim: Simulator, wait_pool, tick, node: int, window: int
     ticks = np.cumsum(waits)
     ticks += sim.now
     sim.schedule_in(float(waits[0]), tick, node)  # soonest tick: scalar
-    sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1), ascending=True)
+    sim.schedule_many_at(ticks[1:], tick, [node] * (window - 1))

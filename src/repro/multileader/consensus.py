@@ -191,7 +191,7 @@ class MultiLeaderConsensusSim:
         sim.schedule_in(float(lats[0]), self._deliver_signal, payload)  # line 1
         sigs = ticks[:-1] + lats[1:]
         sim.schedule_in(float(waits[0]), self._tick, node)
-        sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1), ascending=True)
+        sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1))
         sim.schedule_many_at(sigs, self._deliver_signal, [payload] * (window - 1))
         self._credit[node] = window
 

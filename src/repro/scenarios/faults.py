@@ -497,9 +497,7 @@ class FaultInjection:
             for delay, payload in zip(delays, payloads)
         ]
 
-    def _schedule_many_at(
-        self, times, action: Callable, payloads=None, *, ascending: bool = False
-    ) -> list[int]:
+    def _schedule_many_at(self, times, action: Callable, payloads=None) -> list[int]:
         """Bulk seam (absolute times): per-event transform chain."""
         now = self.sim.now
         if payloads is None:

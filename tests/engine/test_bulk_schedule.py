@@ -1,9 +1,9 @@
 """Bulk-schedule validation on the batch engine: one scan per block.
 
-``Simulator.schedule_many_at`` finds a block's earliest time once and
-hands it to the queue, so the past-time and NaN checks must still
-catch a bad time anywhere in the block.  ``ascending=True`` blocks
-(cumsums of waits) are checked by their first and last time only.
+``Simulator.schedule_many_at`` hands a block to
+``BatchEventQueue.push_many`` with its clock as the floor; the queue
+finds the block's earliest time once, so the past-time and NaN checks
+must still catch a bad time anywhere in the block.
 """
 
 from __future__ import annotations
@@ -38,18 +38,13 @@ def test_bad_time_anywhere_in_block_is_rejected(sim, wrap, bad, where):
     with pytest.raises(SchedulingError):
         sim.schedule_many_at(wrap(times), noop)
     assert not sim.queue
+    assert len(sim.schedule_many_at(wrap([6.0]), noop)) == 1  # no seq leaked
 
 
-@pytest.mark.parametrize("times", [[4.0, 6.0, 7.0], [6.0, 7.0, float("nan")]])
-def test_ascending_block_checks_first_and_last(sim, times):
-    with pytest.raises(SchedulingError):
-        sim.schedule_many_at(np.array(times), noop, ascending=True)
-
-
-def test_ascending_block_dispatches_like_any_block(sim):
+def test_block_dispatches_in_time_order(sim):
     fired = []
     ticks = np.cumsum([1.0, 0.5, 0.25]) + sim.now
-    handles = sim.schedule_many_at(ticks, fired.append, [0, 1, 2], ascending=True)
+    handles = sim.schedule_many_at(ticks, fired.append, [0, 1, 2])
     assert list(handles) == [1, 2, 3]
     sim.run()
     assert fired == [0, 1, 2]
@@ -58,13 +53,16 @@ def test_ascending_block_dispatches_like_any_block(sim):
 
 def test_empty_block_schedules_nothing(sim):
     assert len(sim.schedule_many_at([], noop)) == 0
-    assert len(sim.schedule_many_at(np.array([]), noop, ascending=True)) == 0
+    assert len(sim.schedule_many_at(np.array([]), noop)) == 0
     assert not sim.queue
 
 
 @pytest.mark.parametrize("wrap", [list, np.array])
-def test_push_many_still_rejects_nan(wrap):
+def test_push_many_rejects_nan_and_times_before_floor(wrap):
     queue = BatchEventQueue()
     with pytest.raises(SchedulingError):
         queue.push_many(wrap([1.0, float("nan"), 2.0]), noop)
+    with pytest.raises(SchedulingError):
+        queue.push_many(wrap([3.0, 1.0, 2.0]), noop, not_before=2.0)
     assert not queue
+    assert list(queue.push_many(wrap([2.0, 3.0]), noop, not_before=2.0)) == [0, 1]
