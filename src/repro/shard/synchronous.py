@@ -35,7 +35,13 @@ import numpy as np
 
 from repro.core.results import RunResult
 from repro.core.schedule import Schedule
-from repro.core.synchronous import _SynchronousBase, run_synchronous
+from repro.core.synchronous import (
+    _SynchronousBase,
+    pernode_matrix,
+    pernode_round,
+    pernode_state_dtype,
+    run_synchronous,
+)
 from repro.engine.tracing import Tracer
 from repro.errors import ConfigurationError
 from repro.shard.count_engine import AggregateSyncKernel, count_worker
@@ -200,9 +206,10 @@ class ShardedAggregateSynchronousSim(_ShardedSynchronousBase):
 def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
     """Per-node shard round: update one node slice from full-state reads.
 
-    The body mirrors :meth:`~repro.core.synchronous.PerNodeSynchronousSim.step`
-    restricted to ``[start, stop)`` — contacts are sampled from the
-    *whole* population via the shared arrays (shift trick skips only the
+    Each round calls :func:`~repro.core.synchronous.pernode_round` — the
+    kernel of :meth:`~repro.core.synchronous.PerNodeSynchronousSim.step` —
+    on ``[start, stop)``: contacts are sampled from the *whole*
+    population via the shared arrays (shift trick skips only the
     sampler's own global index), every read happens before the first
     phase barrier and every write after it, so each round sees exactly
     the previous round's global state: the unsharded Markov kernel.
@@ -225,21 +232,11 @@ def pernode_worker(ctx: ShardWorkerContext, payload: dict) -> None:
             second = rng.integers(n - 1, size=size)
             first += first >= own
             second += second >= own
-            gen_a, col_a = generations[first], colors[first]
-            gen_b, col_b = generations[second], colors[second]
-            # Order so sample "a" is the higher-generation one.
-            swap = gen_b > gen_a
-            gen_a, gen_b = np.where(swap, gen_b, gen_a), np.where(swap, gen_a, gen_b)
-            col_a, col_b = np.where(swap, col_b, col_a), np.where(swap, col_a, col_b)
-            own_gens = generations[start:stop].copy()
-            own_cols = colors[start:stop].copy()
-            if ctx.flag:  # the controller's two-choices decision
-                two_choices = (gen_a == gen_b) & (col_a == col_b) & (own_gens <= gen_a)
-            else:
-                two_choices = np.zeros(size, dtype=bool)
-            propagation = ~two_choices & (gen_a > own_gens)
-            new_gens = np.where(two_choices, gen_a + 1, np.where(propagation, gen_a, own_gens))
-            new_cols = np.where(two_choices | propagation, col_a, own_cols)
+            new_gens, new_cols = pernode_round(
+                generations, colors, first, second,
+                generations[start:stop], colors[start:stop],
+                bool(ctx.flag),  # the controller's two-choices decision
+            )
             ctx.wait()  # everyone has read the old state; writes may begin
             generations[start:stop] = new_gens
             colors[start:stop] = new_cols
@@ -279,8 +276,9 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
             self._tracer = tracer
         self._rows = schedule.max_generation + 2
         self.steps_done = 0
-        self._shared_colors = SharedArray.create((self.n,), np.int64)
-        self._shared_generations = SharedArray.create((self.n,), np.int64)
+        dtype = pernode_state_dtype(self._rows, self.k)
+        self._shared_colors = SharedArray.create((self.n,), dtype)
+        self._shared_generations = SharedArray.create((self.n,), dtype)
         self._shared_colors.array[:] = counts_to_assignment(counts, rng)
         ranges = partition_nodes(self.n, self.shards)
         seeds = shard_seed_sequences(rng, self.shards)
@@ -300,11 +298,9 @@ class ShardedPerNodeSynchronousSim(_ShardedSynchronousBase):
         )
 
     def generation_color_matrix(self) -> np.ndarray:
-        flat = np.bincount(
-            self._shared_generations.array * self.k + self._shared_colors.array,
-            minlength=self._rows * self.k,
+        return pernode_matrix(
+            self._shared_generations.array, self._shared_colors.array, self._rows, self.k
         )
-        return flat.reshape(self._rows, self.k).astype(np.int64, copy=False)
 
     def step(self) -> None:
         self.steps_done += 1
