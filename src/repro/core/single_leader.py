@@ -35,14 +35,13 @@ Engine notes (the hot path):
 * *leader-signal elision* (skip-tick mode on a simulator no fault
   wrapper intercepts): Algorithm 3 only counts 0-signals, and the one
   arrival that matters per phase is the ``C3·n``-th after a generation
-  reset, which sets ``prop``.  So 0-signal arrival times go into a
-  per-phase buffer instead of the queue; a bounded max-heap keeps the
-  threshold smallest, and one ``_crossing`` event waits at its maximum
-  (re-pushed, with a fresh phase token, only when an extension lowers
-  it).  The leader's counters are reconciled at every crossing, every
-  reset and at run end, so counters, phase records and
-  ``events_executed`` equal those of a run that dispatches every
-  signal;
+  reset, which sets ``prop``.  So 0-signal arrival times go into an
+  :class:`~repro.engine.elision.ArrivalBuffer` instead of the queue,
+  and one ``_crossing`` event waits at the threshold-th (re-pushed, with
+  a fresh token, only when an extension lowers it).  The leader's
+  counters are reconciled at every crossing, every reset and at run
+  end, so counters, phase records and ``events_executed`` equal those
+  of a run that dispatches every signal;
 * payloads are node ids (ticks/signals) or ``(node, first, second)``
   triples (exchanges) — no per-event closures;
 * per-node state lives in plain Python lists (``gens``, ``cols``,
@@ -59,13 +58,12 @@ The seed scalar-draw implementation is preserved in
 
 from __future__ import annotations
 
-from heapq import heapreplace
-
 import numpy as np
 
 from repro.core.leader import Leader, LeaderPhaseChange
 from repro.core.params import SingleLeaderParams
 from repro.core.results import GenerationBirth, RunResult, StepStats
+from repro.engine.elision import ArrivalBuffer
 from repro.engine.latency import ChannelPlan, LatencyModel
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool, LatencyPool
@@ -251,16 +249,14 @@ class SingleLeaderSim:
         self._window = self.sim.tick_window
         self._skip = self._window > 1
         self._elide = self._skip and not self.sim.intercepted
-        #: Elision state: the current phase's 0-signal arrivals not yet
-        #: folded into the leader's counters, the negated max-heap of the
-        #: phase's ``_need`` smallest arrivals (armed once that many are
-        #: buffered, while ``prop`` is False), the token of the live
-        #: ``_crossing`` event, and the elided signals and crossing
-        #: events not yet reported to the simulator.
-        self._signals: list[float] = []
-        self._nearest: list[float] = []
+        #: Elision state: the 0-signal arrivals not yet folded into the
+        #: leader's counters (their crossing is the ``_need``-th since
+        #: the last generation reset, while ``prop`` is False), and the
+        #: elided signals and crossing events not yet reported to the
+        #: simulator.
+        self._arrivals = ArrivalBuffer()
         self._need = params.prop_signal_threshold
-        self._token = 0
+        self._arrivals.restart(self._need)
         self._elided = 0
         self._crossings = 0
         schedule_in = self.sim.schedule_in
@@ -362,35 +358,16 @@ class SingleLeaderSim:
     # ------------------------------------------------------------------
     # leader-signal elision (see the module docstring)
     # ------------------------------------------------------------------
+    @property
+    def _signals(self) -> list[float]:
+        """The buffered 0-signal arrivals not yet folded in."""
+        return self._arrivals.arrivals
+
     def _admit_signals(self, arrivals: list[float]) -> None:
         """Buffer 0-signal arrivals; keep the crossing event on the threshold-th."""
-        self._signals += arrivals
-        if self.leader.prop:
-            return
-        nearest = self._nearest
-        if not nearest:
-            self._arm_crossing()
-        elif min(arrivals) < -nearest[0]:
-            for arrival in arrivals:
-                if arrival < -nearest[0]:
-                    heapreplace(nearest, -arrival)
-            self._token += 1
-            self.sim.schedule(-nearest[0], self._crossing, self._token)
-
-    def _arm_crossing(self) -> None:
-        """Once the phase holds enough arrivals, wait at the threshold-th.
-
-        Arms the bounded max-heap (negated) of the phase's smallest
-        pending arrivals; until then nothing needs ordering.
-        """
-        need = self._need - self.leader.tick_count
-        if len(self._signals) < need:
-            return
-        # A sort beats heapq.nsmallest here: need is most of the buffer.
-        ordered = sorted(self._signals, reverse=True)
-        self._nearest = [-arrival for arrival in ordered[len(ordered) - need:]]
-        self._token += 1
-        self.sim.schedule(-self._nearest[0], self._crossing, self._token)
+        crossing = self._arrivals.admit(arrivals)
+        if crossing is not None:
+            self.sim.schedule(crossing, self._crossing, self._arrivals.token)
 
     def _fold_signals(self, count: int) -> None:
         """Credit ``count`` buffered arrivals to the leader's counters."""
@@ -402,19 +379,17 @@ class SingleLeaderSim:
     def _crossing(self, token: int) -> None:
         """The phase's threshold-th 0-signal arrives: ``prop ← True``."""
         self._crossings += 1
-        if token != self._token:
+        if token != self._arrivals.token:
             return  # superseded by a lower crossing or a reset
         now = self.sim.now
         leader = self.leader
-        signals = self._signals
-        later = [arrival for arrival in signals if arrival > now]
         # The phase's arrivals up to the threshold-th have reached the
         # leader.  Overdue extensions clamp arrivals to the clock, so
         # some after it can share this instant; they stay buffered.
         reached = self._need - leader.tick_count
+        self._arrivals.take(now, reached)
         self._fold_signals(reached)
-        self._signals = later + [now] * (len(signals) - len(later) - reached)
-        self._nearest = []
+        self._arrivals.restart(0)
         leader.prop = True
         leader.phase_changes.append(
             LeaderPhaseChange(kind="propagation", time=now, generation=leader.gen)
@@ -423,26 +398,18 @@ class SingleLeaderSim:
 
     def _reset_signals(self) -> None:
         """A gen-signal reset at now: split the buffer between the phases."""
-        now = self.sim.now
-        signals = self._signals
-        later = [arrival for arrival in signals if arrival > now]
         # Arrivals up to the reset count for the old phase, whose tick
         # counter the reset already discarded.
-        count = len(signals) - len(later)
+        count = self._arrivals.drop_through(self.sim.now)
         self.leader.zero_signals += count
         self._elided += count
-        self._signals = later
-        self._token += 1  # strands the old phase's crossing
-        self._nearest = []
-        self._arm_crossing()
+        crossing = self._arrivals.restart(self._need - self.leader.tick_count)
+        if crossing is not None:
+            self.sim.schedule(crossing, self._crossing, self._arrivals.token)
 
     def _settle_signals(self) -> None:
         """Fold the arrivals before the clock in and report elision."""
-        now = self.sim.now
-        signals = self._signals
-        later = [arrival for arrival in signals if arrival >= now]
-        self._fold_signals(len(signals) - len(later))
-        self._signals = later
+        self._fold_signals(self._arrivals.fold_before(self.sim.now))
         self.sim.record_elided(self._elided, self._crossings)
         self._elided = self._crossings = 0
 
@@ -456,11 +423,10 @@ class SingleLeaderSim:
             return
         self._settle_signals()
         self._elide = False
-        self._token += 1  # strands a queued crossing
-        self._nearest = []
-        if self._signals:
-            schedule_many_at(self._signals, self._leader_signal)
-        self._signals = []
+        self._arrivals.restart(0)  # strands a queued crossing
+        if self._arrivals.arrivals:
+            schedule_many_at(self._arrivals.arrivals, self._leader_signal)
+        self._arrivals.arrivals = []
 
     def _note_phase_changes(self) -> None:
         """Trace and snapshot the leader transitions not yet seen."""

@@ -102,8 +102,10 @@ class Simulator:
         #: :meth:`record_elided`).
         self.events_elided = 0
         #: Set by a wrapper that intercepts the scheduling methods (fault
-        #: injection): protocols then schedule every event they would
-        #: otherwise elide, so the wrapper sees each one.
+        #: injection).  The single-leader protocols then schedule every
+        #: 0-signal they would otherwise elide, so the wrapper sees each
+        #: one; multileader consensus keeps eliding through
+        #: :meth:`admit_many_at`.
         self.intercepted = False
         self._stop_requested = False
 
@@ -112,8 +114,8 @@ class Simulator:
         """Protocol events executed so far (telemetry).
 
         Elided events count once their protocol reports them through
-        :meth:`record_elided` (the single-leader protocols do so at run
-        end).
+        :meth:`record_elided` (the leader-signal eliding protocols do so
+        at run end).
         """
         return self._events_executed
 
@@ -121,9 +123,9 @@ class Simulator:
         """Count ``elided`` protocol events that were never dispatched.
 
         A protocol that folds events into its state instead of queueing
-        them (the single-leader 0-signals) reports them here, together
-        with the ``stand_ins``: the bookkeeping events it dispatched in
-        their place.  :attr:`events_executed` stays the count of protocol
+        them (leader 0-signals) reports them here, together with the
+        ``stand_ins``: the bookkeeping events it dispatched in their
+        place.  :attr:`events_executed` stays the count of protocol
         events, so it does not depend on whether elision ran.
         """
         self.events_elided += elided
@@ -259,6 +261,22 @@ class Simulator:
         if queue._live is not None:
             queue._live.update(range(start, seq))
         return range(start, seq)
+
+    def admit_many_at(
+        self, times: list[float], action: Callable[..., Any], payload: Any = None
+    ) -> list[float]:
+        """Rule on a block of events the caller counts instead of queueing.
+
+        A protocol that elides events (folds their arrivals into its own
+        state) asks here which of them the network delivers, and when:
+        the result lists the admitted times as the queue would hold
+        them, in order.  A plain simulator delivers everything as given;
+        a fault wrapper overrides this with its schedule-time verdict
+        (drops, delays), drawing exactly as if each event had been
+        scheduled.  ``action`` and ``payload`` classify the events and
+        are never called.
+        """
+        return times
 
     def cancel(self, handle: int) -> None:
         """Cancel a previously scheduled event by its sequence handle."""

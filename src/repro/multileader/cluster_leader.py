@@ -130,6 +130,21 @@ class ClusterLeaderState:
                 self.gen_size = 0
                 self._record(time, "gen-size")
 
+    def ticks_to_transition(self) -> int:
+        """``i = 0`` signals until the next tick-driven transition (0: none).
+
+        Mirrors lines 4–9 of :meth:`on_signal`: two-choices ends at the
+        sleep threshold and sleeping at the propagation threshold, each
+        on a signal of its own; propagation waits for a birth or relay.
+        """
+        if self.state == STATE_TWO_CHOICES:
+            threshold = self._sleep_threshold
+        elif self.state == STATE_SLEEPING:
+            threshold = self._prop_threshold
+        else:
+            return 0
+        return max(1, threshold - self.tick_count)
+
     def phase_times(self, generation: int) -> dict[int, float]:
         """Map state -> first time this leader entered it at ``generation``."""
         times: dict[int, float] = {}

@@ -28,10 +28,30 @@ push their color to every sample — the ``O(log n)`` full-consensus tail.
 Unclustered nodes and members of inactive clusters take no actions but
 receive pushes, exactly as in Theorem 27's accounting.
 
-Engine notes: randomness comes from block-prefetched pools, events are
-``(time, seq, bound_method, payload)`` tuples, and per-node state lives
-in plain Python lists with numpy snapshot properties — see
-:mod:`repro.core.single_leader` for the rationale.
+Engine notes:
+
+* randomness comes from block-prefetched pools, events are
+  ``(time, seq, bound_method, payload)`` tuples, and per-node state
+  lives in plain Python lists with numpy snapshot properties — see
+  :mod:`repro.core.single_leader` for the rationale;
+* on the batch engine each node pre-draws a window of tick times and
+  their line-1 signal latencies per refill (plain lists and a Python
+  cumsum: at window sizes numpy's per-call overhead costs more);
+* *leader-signal elision* (window > 1): a cluster leader uses the
+  ``(0, 3, ·)`` signals only as a clock, so their arrival times go into
+  a per-leader :class:`~repro.engine.elision.ArrivalBuffer` instead of
+  the queue, and one ``_crossing`` event waits at the arrival that
+  reaches the leader's next tick threshold (sleep, then propagation).
+  A relay or birth that rewrites the leader's count settles the
+  arrivals up to it; the rest are settled at run end and reported
+  through :meth:`~repro.engine.simulator.Simulator.record_elided`, so
+  leader transitions, counters and ``events_executed`` equal those of a
+  run that dispatches every signal.  Elision stays on under faults:
+  a leader signal has no owner node, so every fault model rules on it
+  when it is scheduled, and :meth:`Simulator.admit_many_at
+  <repro.engine.simulator.Simulator.admit_many_at>` asks the fault
+  wrapper for that verdict (same draws, counters and trace records).
+  The heap engine and window 1 dispatch every signal.
 """
 
 from __future__ import annotations
@@ -39,6 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.results import GenerationBirth, RunResult, StepStats
+from repro.engine.elision import ArrivalBuffer
 from repro.engine.network import CompleteGraph
 from repro.engine.rng import ChannelDelayPool, ExponentialPool
 from repro.engine.simulator import Simulator
@@ -165,6 +186,21 @@ class MultiLeaderConsensusSim:
         # engine); the first tick grows each chain to a full window.
         self._window = self.sim.tick_window
         self._credit: list[int] = [1] * self.n
+        # Leader-signal elision (see the module docstring): one arrival
+        # buffer per active leader, and the elided signals and crossing
+        # events not yet reported to the simulator.
+        self._elide = self._window > 1
+        self._buffers: dict[ClusterLeaderState, ArrivalBuffer] = {
+            state: ArrivalBuffer() for state in self.leaders.values()
+        }
+        for state, buffer in self._buffers.items():
+            self._restart_count(state, buffer)
+        self._tick_buffer: list[ArrivalBuffer | None] = [
+            None if signal is None else self._buffers[signal[0]]
+            for signal in self._tick_signal
+        ]
+        self._elided = 0
+        self._crossings = 0
         schedule_in = self.sim.schedule_in
         tick = self._tick
         wait = self._tick_wait
@@ -173,7 +209,7 @@ class MultiLeaderConsensusSim:
                 schedule_in(wait(), tick, node)
 
     def _refill_window(self, node: int) -> None:
-        """Next tick window + (0, 3, ·)-signal fan-out, two bulk inserts."""
+        """Next tick window + its (0, 3, ·)-signal fan-out."""
         window = self._window
         sim = self.sim
         payload = self._tick_signal[node]
@@ -182,17 +218,34 @@ class MultiLeaderConsensusSim:
             sim.schedule_in(self._tick_wait(), self._tick, node)
             sim.schedule_in(self._latency(), self._deliver_signal, payload)
             return
-        waits = self._tick_wait.take_array(window)
-        lats = self._latency.take_array(window)
-        # Soonest tick + the firing tick's signal as scalars; the rest
-        # in two array blocks (see core.single_leader._refill_window).
-        ticks = np.cumsum(waits)
-        ticks += sim.now
-        sim.schedule_in(float(lats[0]), self._deliver_signal, payload)  # line 1
-        sigs = ticks[:-1] + lats[1:]
-        sim.schedule_in(float(waits[0]), self._tick, node)
+        waits = self._tick_wait.take(window)
+        lats = self._latency.take(window)
+        now = sim.now
+        # Partial sums first, then the clock: the rounding of
+        # np.cumsum(waits) + now, so tick times do not depend on this
+        # loop being plain Python.
+        ticks = []
+        total = 0.0
+        for wait in waits:
+            total += wait
+            ticks.append(total + now)
+        # Line 1: the firing tick's signal leaves now, each later one
+        # with its own tick.
+        sigs = [now + lats[0]]
+        sigs += [tick + lat for tick, lat in zip(ticks, lats[1:])]
+        sim.schedule_in(waits[0], self._tick, node)  # soonest tick: scalar
         sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1))
-        sim.schedule_many_at(sigs, self._deliver_signal, [payload] * (window - 1))
+        arrivals = sim.admit_many_at(sigs, self._deliver_signal, payload)
+        if arrivals:
+            state = payload[0]
+            buffer = self._tick_buffer[node]
+            crossing = buffer.admit(arrivals)
+            if crossing is not None:
+                sim.schedule(crossing, self._crossing, (state, buffer, buffer.token))
+            folded = buffer.compact(now)
+            if folded:
+                state.tick_count += folded
+                self._elided += folded
         self._credit[node] = window
 
     # ------------------------------------------------------------------
@@ -258,7 +311,49 @@ class MultiLeaderConsensusSim:
         self, payload: tuple[ClusterLeaderState, int, int, bool]
     ) -> None:
         state, i, s, has_changed = payload
+        seen = len(state.transitions)
         state.on_signal(i, s, has_changed, self.sim.now)
+        if self._elide and len(state.transitions) != seen:
+            # A relay or birth rewrote (gen, state, tick_count): the
+            # buffered arrivals up to now counted for the old phase.
+            buffer = self._buffers[state]
+            self._elided += buffer.drop_through(self.sim.now)
+            self._restart_count(state, buffer)
+
+    # ------------------------------------------------------------------
+    # leader-signal elision (see the module docstring)
+    # ------------------------------------------------------------------
+    def _restart_count(self, state: ClusterLeaderState, buffer: ArrivalBuffer) -> None:
+        """Aim the leader's crossing at its next tick threshold, if any."""
+        crossing = buffer.restart(state.ticks_to_transition())
+        if crossing is not None:
+            self.sim.schedule(crossing, self._crossing, (state, buffer, buffer.token))
+
+    def _crossing(self, payload: tuple[ClusterLeaderState, ArrivalBuffer, int]) -> None:
+        """The 0-signal that reaches the leader's next threshold arrives."""
+        state, buffer, token = payload
+        self._crossings += 1
+        if token != buffer.token:
+            return  # superseded by a lower crossing or a restart
+        count = state.ticks_to_transition()
+        now = self.sim.now
+        buffer.take(now, count)
+        self._elided += count
+        # All but the last only advance the count; the last one runs
+        # the leader's own threshold step.
+        state.tick_count += count - 1
+        state.on_signal(0, STATE_PROPAGATION, False, now)
+        self._restart_count(state, buffer)
+
+    def _settle_signals(self) -> None:
+        """Count the arrivals before the clock in and report elision."""
+        now = self.sim.now
+        for state, buffer in self._buffers.items():
+            folded = buffer.fold_before(now)
+            state.tick_count += folded
+            self._elided += folded
+        self.sim.record_elided(self._elided, self._crossings)
+        self._elided = self._crossings = 0
 
     def _tick(self, node: int) -> None:
         self.total_ticks += 1
@@ -470,6 +565,8 @@ class MultiLeaderConsensusSim:
             self.sim.run(until=max_time, stop_when=done)
         else:
             self.sim.run(until=max_time)
+        if self._elide:
+            self._settle_signals()
         epsilon_time = self._eps_time
         converged = max(counts) == n
         max_leader_gen = max(state.gen for state in self.leaders.values())

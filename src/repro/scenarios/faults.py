@@ -27,20 +27,37 @@ Fault semantics:
   random subset of nodes.
 
 Both scalar (``schedule_in``) and bulk (``schedule_many`` /
-``schedule_many_at``) scheduling are intercepted — window-batched
-protocols (see :mod:`repro.engine.simulator`) degrade to per-event
-scheduling under faults, so fault semantics never depend on batching.
+``schedule_many_at``) scheduling are intercepted, so fault semantics
+never depend on how a window-batched protocol (see
+:mod:`repro.engine.simulator`) groups its inserts.  A bad bulk block is
+rejected whole, before any handle or draw is spent, and a bad scalar
+delay raises before the drop draw, exactly as on a plain simulator.
+Blocks that no fault rules on one by one keep bulk intake: internal
+events, and clock ticks unless a churn guard is installed.  Message and
+exchange blocks meet the transform chain event by event.
+
+Where a fault rules on an event matters for elision.  Drops, bursts
+and straggler slowdowns are decided when the event is *scheduled*;
+only the churn guard decides at dispatch, and only for events with an
+owner node.  A leader signal has no owner, so every fault model rules
+on it at schedule time.  A protocol can therefore count such signals
+instead of queueing them and still meet the same faults: it asks the
+simulator's :meth:`~repro.engine.simulator.Simulator.admit_many_at`,
+which the wrapper overrides with its verdict (the same draws, counters
+and trace records as scheduling each signal).  Multileader consensus
+does this for its cluster leaders' 0-signals
+(:mod:`repro.multileader.consensus`).  The single-leader protocols
+switch elision off on a wrapped simulator
+(:attr:`~repro.engine.simulator.Simulator.intercepted`), so there every
+0-signal is a real event that meets the transform chain.
+
 Two residual notes: (1) with :func:`inject_faults` the initial batch of
 tick events is scheduled during protocol construction, *before* the
 wrapper exists, so each node's very first tick escapes the churn guard
 — construct the protocol over :func:`prepare_faulty_simulator`'s
 pre-wrapped simulator to close that hole; (2) a crashed node's
 already-scheduled 0-signals still arrive (in-flight messages survive
-their sender's crash), bounded by one tick window.  Fault-free
-single-leader runs elide 0-signals (the leader counts them instead of
-dispatching each one, see :mod:`repro.core.single_leader`); a wrapped
-simulator switches that off, so under faults every 0-signal is a real
-event that meets the transform chain.
+their sender's crash), bounded by one tick window.
 
 Randomness flows from the generator handed to :func:`inject_faults`
 through block-prefetched pools (:mod:`repro.engine.rng`), so faulty
@@ -56,7 +73,7 @@ import numpy as np
 
 from repro.engine.rng import UniformPool
 from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -97,6 +114,26 @@ def _node_of(name: str, payload: Any) -> int | None:
     if isinstance(payload, tuple) and payload and isinstance(payload[0], int):
         return payload[0]
     return None
+
+
+def _checked_block(times, payloads, floor: float) -> list[float]:
+    """The block as a list, rejected whole as ``BatchEventQueue.push_many`` does.
+
+    Runs before any handle is allocated or any draw is consumed.
+    """
+    if isinstance(times, np.ndarray):
+        times = times.tolist()
+    if payloads is not None and len(payloads) != len(times):
+        raise SchedulingError(
+            f"bulk schedule got {len(times)} times but {len(payloads)} payloads"
+        )
+    if len(times):
+        total = sum(times)  # a NaN anywhere poisons the sum
+        if not min(times) >= floor or total != total:
+            raise SchedulingError(
+                f"bulk schedule contains a NaN or a value below {floor}"
+            )
+    return times
 
 
 class ProtocolAdapter:
@@ -422,9 +459,14 @@ class FaultInjection:
     use.
 
     Both the scalar (``schedule_in``) and the bulk (``schedule_many`` /
-    ``schedule_many_at``) scheduling paths are intercepted; bulk blocks
-    are routed through the same per-event transform chain, so fault
-    semantics are independent of how the protocol batches its inserts.
+    ``schedule_many_at``) scheduling paths are intercepted.  A bulk
+    block is validated whole; ticks (without churn) and internal events
+    keep bulk intake, and only message and exchange blocks meet the
+    transform chain event by event, so fault semantics are independent
+    of how the protocol batches its inserts.  Node-less messages
+    (leader signals) are ruled on at schedule time only, never by the
+    churn guard; that is what lets ``admit_many_at`` give an eliding
+    protocol the verdict for a block of them up front.
     """
 
     def __init__(
@@ -458,8 +500,10 @@ class FaultInjection:
         sim.schedule_in = self._schedule_in
         sim.schedule_many = self._schedule_many
         sim.schedule_many_at = self._schedule_many_at
-        # Protocols built on this simulator schedule every event (no
-        # leader-signal elision), so each one meets the transform chain.
+        sim.admit_many_at = self._admit_many_at
+        # Single-leader protocols built on this simulator schedule every
+        # 0-signal, so each one meets the transform chain (multileader
+        # consensus asks admit_many_at instead).
         sim.intercepted = True
         for fault in self.faults:
             fault.install(self)
@@ -485,11 +529,40 @@ class FaultInjection:
 
     # -- the wrapped scheduling paths ------------------------------------
     def _schedule(self, time: float, action: Callable, payload: Any = None) -> int:
-        """Absolute-time seam: route through the scalar transform chain."""
+        """Absolute-time seam: route through the scalar transform chain.
+
+        Internal events meet no fault and keep their exact time (an
+        elided signal's crossing lands on the arrival it stands for).
+        """
+        if getattr(action, "__name__", "") not in _CATEGORY:
+            return self._original_schedule(time, action, payload)
         return self._schedule_in(time - self.sim.now, action, payload)
 
-    def _schedule_many(self, delays, action: Callable, payloads=None) -> list[int]:
-        """Bulk seam: route every event through the scalar transform chain."""
+    def _schedule_many(self, delays, action: Callable, payloads=None):
+        """Bulk seam (delays from now); see :meth:`_schedule_block`."""
+        delays = _checked_block(delays, payloads, 0.0)
+        return self._schedule_block(delays, action, payloads)
+
+    def _schedule_many_at(self, times, action: Callable, payloads=None):
+        """Bulk seam (absolute times); see :meth:`_schedule_block`."""
+        now = self.sim.now
+        times = _checked_block(times, payloads, now)
+        return self._schedule_block([time - now for time in times], action, payloads)
+
+    def _schedule_block(self, delays: list[float], action: Callable, payloads):
+        """File a validated block, in bulk unless events are ruled on one by one.
+
+        Internal events and, without a churn guard, clock ticks meet no
+        fault, so they keep bulk intake (at the times the scalar seam
+        would give them); every other block goes through
+        :meth:`_schedule_in` event by event.
+        """
+        category = _CATEGORY.get(getattr(action, "__name__", ""))
+        if category is None or (category is TICK and not self._has_churn):
+            now = self.sim.now
+            return self._original_schedule_many_at(
+                [now + delay for delay in delays], action, payloads
+            )
         if payloads is None:
             return [self._schedule_in(delay, action) for delay in delays]
         return [
@@ -497,36 +570,77 @@ class FaultInjection:
             for delay, payload in zip(delays, payloads)
         ]
 
-    def _schedule_many_at(self, times, action: Callable, payloads=None) -> list[int]:
-        """Bulk seam (absolute times): per-event transform chain."""
+    def _admit_many_at(self, times, action: Callable, payload: Any = None) -> list[float]:
+        """Schedule-time verdict on events the protocol counts instead of queueing.
+
+        The block is validated whole, then each event meets the transform
+        chain exactly as :meth:`_schedule_in` would run it: same draws in
+        the same order, same drop counters and trace records.  Returns
+        the admitted times as the wrapped seam would queue them.  Only
+        events without an owner node can be ruled on here; under churn,
+        an owned event is ruled on at dispatch.
+        """
         now = self.sim.now
-        if payloads is None:
-            return [self._schedule_in(time - now, action) for time in times]
-        return [
-            self._schedule_in(time - now, action, payload)
-            for time, payload in zip(times, payloads)
-        ]
+        times = _checked_block(times, None, now)
+        name = getattr(action, "__name__", "")
+        category = _CATEGORY.get(name)
+        node = None if category is None else _node_of(name, payload)
+        if node is not None and self._has_churn:
+            raise SchedulingError(
+                f"{name} events have an owner node; churn rules on them at dispatch"
+            )
+        if category is None or category is TICK:
+            return [now + (time - now) for time in times]
+        faults = self.faults
+        if len(faults) == 1 and type(faults[0]) is IidDrop:
+            # One pool take for the block: the draws of one call per event.
+            fault = faults[0]
+            rate = fault.rate
+            if not rate:
+                return [now + (time - now) for time in times]
+            admitted = []
+            for time, draw in zip(times, fault._pool.take(len(times))):
+                if draw < rate:
+                    fault.dropped += 1
+                    self._note_drop(category, node)
+                else:
+                    admitted.append(now + (time - now))
+            return admitted
+        admitted = []
+        for time in times:
+            delay = self._transform(category, node, time - now)
+            if delay is not None:
+                admitted.append(now + delay)
+        return admitted
 
     def _schedule_in(self, delay: float, action: Callable, payload: Any = None) -> int:
+        if not delay >= 0:  # before any draw, as the plain seam rejects it
+            raise SchedulingError(f"negative delay {delay}")
         name = getattr(action, "__name__", "")
         category = _CATEGORY.get(name)
         if category is None:
             return self._original_schedule_in(delay, action, payload)
         node = _node_of(name, payload)
         if category is not TICK:
-            for fault in self.faults:
-                transformed = fault.transform(category, node, delay)
-                if transformed is None:
-                    self._note_drop(category, node)
-                    # Hand back a fresh (never-scheduled) handle so
-                    # caller code that stores it keeps working.
-                    return self.sim.queue.reserve_handle()
-                delay = transformed
-        if self._has_churn:
+            delay = self._transform(category, node, delay)
+            if delay is None:
+                # Hand back a fresh (never-scheduled) handle so caller
+                # code that stores it keeps working.
+                return self.sim.queue.reserve_handle()
+        if self._has_churn and node is not None:
             return self._original_schedule_in(
                 delay, self._guard, (action, payload, category, node)
             )
         return self._original_schedule_in(delay, action, payload)
+
+    def _transform(self, category: str, node: int | None, delay: float) -> float | None:
+        """Run one event through the fault chain; ``None`` (noted) if dropped."""
+        for fault in self.faults:
+            delay = fault.transform(category, node, delay)
+            if delay is None:
+                self._note_drop(category, node)
+                return None
+        return delay
 
     def _guard(self, bundle: tuple) -> None:
         """Dispatch-time churn check (the trampoline for governed events)."""

@@ -19,7 +19,7 @@ import repro.engine.simulator as engine_sim
 from repro.core.params import SingleLeaderParams
 from repro.core.single_leader import SingleLeaderSim
 from repro.engine.rng import RngRegistry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.scenarios.faults import (
     CrashAtTimes,
     CrashChurn,
@@ -328,3 +328,22 @@ class TestFaultModelEdgeCases:
         assert not sim.locked[11] or sim.good_ticks > 60
         assert wiring.deferred_ticks > 0
         assert result.elapsed <= 120.0
+
+
+def _deliver_signal(*_):
+    """Named like a protocol message, so the wrapper's drop models rule on it."""
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_wrapped_scalar_seam_rejects_bad_delay_before_dropping(delay):
+    """A bad delay raises as on a plain simulator, whatever the drop draw
+    would have said, and consumes no draw."""
+    for seed in range(200):
+        drop = IidDrop(0.5)
+        simulator, wiring = prepare_faulty_simulator(
+            10, [drop], RngRegistry(seed).stream("faults")
+        )
+        with pytest.raises(SchedulingError):
+            simulator.schedule_in(delay, _deliver_signal)
+        assert wiring.dropped_messages == 0
+        assert drop._pool.remaining == 0
