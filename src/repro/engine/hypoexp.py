@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ConfigurationError
 
@@ -89,6 +88,10 @@ class Hypoexponential:
         """Exact CDF ``P(X <= t)`` via the phase-type matrix exponential."""
         if t <= 0:
             return 0.0
+        # Imported here: scipy takes longer to import than the rest of
+        # the package, and only CDF evaluations need it.
+        from scipy.linalg import expm
+
         transient = expm(self._generator() * t)
         survival = float(transient[0, :].sum())
         return min(1.0, max(0.0, 1.0 - survival))

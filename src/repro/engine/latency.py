@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,6 +204,7 @@ def cycle_distribution(
     return Hypoexponential(establishment + [clock_rate] + establishment)
 
 
+@lru_cache(maxsize=1024)
 def time_unit_steps(
     latency_rate: float,
     *,
@@ -217,7 +219,9 @@ def time_unit_steps(
     A *time unit* consists of ``C1`` time steps, chosen so that within
     any interval of that length a node completes a full protocol cycle
     with probability ``quantile`` (0.9 in the paper). This is the
-    quantity plotted in Figure 1.
+    quantity plotted in Figure 1.  Memoized: every protocol parameter
+    object derives its time unit here, and the bisection costs dozens
+    of matrix exponentials.
     """
     distribution = cycle_distribution(
         latency_rate,

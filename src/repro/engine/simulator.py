@@ -107,6 +107,10 @@ class Simulator:
         #: one; multileader consensus keeps eliding through
         #: :meth:`admit_many_at`.
         self.intercepted = False
+        #: Set by a fault wrapper whose churn guard rules on clock ticks
+        #: at dispatch.  Multileader consensus then queues every tick
+        #: instead of skipping the ones a locked node sleeps through.
+        self.ticks_guarded = False
         self._stop_requested = False
 
     @property
@@ -114,8 +118,7 @@ class Simulator:
         """Protocol events executed so far (telemetry).
 
         Elided events count once their protocol reports them through
-        :meth:`record_elided` (the leader-signal eliding protocols do so
-        at run end).
+        :meth:`record_elided` (the eliding protocols do so at run end).
         """
         return self._events_executed
 
@@ -123,7 +126,8 @@ class Simulator:
         """Count ``elided`` protocol events that were never dispatched.
 
         A protocol that folds events into its state instead of queueing
-        them (leader 0-signals) reports them here, together with the
+        them (leader 0-signals, the ticks a locked node sleeps through)
+        reports them here, together with the
         ``stand_ins``: the bookkeeping events it dispatched in their
         place.  :attr:`events_executed` stays the count of protocol
         events, so it does not depend on whether elision ran.

@@ -37,6 +37,18 @@ Engine notes:
 * on the batch engine each node pre-draws a window of tick times and
   their line-1 signal latencies per refill (plain lists and a Python
   cumsum: at window sizes numpy's per-call overhead costs more);
+* *skip-tick chains* (window > 1, no churn guard): a locked node's
+  tick only sends its line-1 signal, which is elided, so it is a no-op.
+  The window's tick times stay in a per-node chain with a cursor, and
+  only two ticks become events: the window's last tick, which draws
+  the next window (moving those draws would reorder every later one),
+  and, after an unlock, the next chain tick if it comes before that.
+  The ticks in between are counted when the next dispatched tick or
+  run end passes them, into ``total_ticks`` and through
+  :meth:`~repro.engine.simulator.Simulator.record_elided`.  A churn
+  guard rules on ticks at dispatch
+  (:attr:`~repro.engine.simulator.Simulator.ticks_guarded`), so under
+  it every tick is queued, as on the heap engine and at window 1;
 * *leader-signal elision* (window > 1): a cluster leader uses the
   ``(0, 3, ·)`` signals only as a clock, so their arrival times go into
   a per-leader :class:`~repro.engine.elision.ArrivalBuffer` instead of
@@ -183,12 +195,16 @@ class MultiLeaderConsensusSim:
         self._eps_time: float | None = None
 
         # One initial tick per active member (identical to the scalar
-        # engine); the first tick grows each chain to a full window.
+        # engine); the first tick grows each chain to a full window (at
+        # window 1 the chain stays one tick long, so every tick refills).
+        # The cursor is the node's first chain tick not yet counted.
         self._window = self.sim.tick_window
-        self._credit: list[int] = [1] * self.n
+        self._skip = self._window > 1 and not self.sim.ticks_guarded
+        self._chain: list[list[float]] = [[] for _ in range(self.n)]
+        self._cptr: list[int] = [0] * self.n
         # Leader-signal elision (see the module docstring): one arrival
-        # buffer per active leader, and the elided signals and crossing
-        # events not yet reported to the simulator.
+        # buffer per active leader, and the elided signals, skipped
+        # ticks and crossing events not yet reported to the simulator.
         self._elide = self._window > 1
         self._buffers: dict[ClusterLeaderState, ArrivalBuffer] = {
             state: ArrivalBuffer() for state in self.leaders.values()
@@ -204,9 +220,12 @@ class MultiLeaderConsensusSim:
         schedule_in = self.sim.schedule_in
         tick = self._tick
         wait = self._tick_wait
+        now = self.sim.now
         for node in range(self.n):
             if active_member[node]:
-                schedule_in(wait(), tick, node)
+                delay = wait()
+                self._chain[node] = [now + delay]
+                schedule_in(delay, tick, node)
 
     def _refill_window(self, node: int) -> None:
         """Next tick window + its (0, 3, ·)-signal fan-out."""
@@ -233,8 +252,19 @@ class MultiLeaderConsensusSim:
         # with its own tick.
         sigs = [now + lats[0]]
         sigs += [tick + lat for tick, lat in zip(ticks, lats[1:])]
-        sim.schedule_in(waits[0], self._tick, node)  # soonest tick: scalar
-        sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1))
+        if self._skip:
+            # The chain holds each tick at the time the scalar seam
+            # (soonest) or the bulk seam (the rest) would queue it; only
+            # the window's last tick, which draws the next window, is
+            # queued now.
+            chain = [ticks[0]] + sim.admit_many_at(ticks[1:], self._tick, node)
+            sim.schedule(chain[-1], self._tick, node)
+        else:
+            chain = ticks
+            sim.schedule_in(waits[0], self._tick, node)  # soonest tick: scalar
+            sim.schedule_many_at(ticks[1:], self._tick, [node] * (window - 1))
+        self._chain[node] = chain
+        self._cptr[node] = 0
         arrivals = sim.admit_many_at(sigs, self._deliver_signal, payload)
         if arrivals:
             state = payload[0]
@@ -246,7 +276,6 @@ class MultiLeaderConsensusSim:
             if folded:
                 state.tick_count += folded
                 self._elided += folded
-        self._credit[node] = window
 
     # ------------------------------------------------------------------
     # numpy snapshot views (external consumers: tests, experiments)
@@ -356,11 +385,22 @@ class MultiLeaderConsensusSim:
         self._elided = self._crossings = 0
 
     def _tick(self, node: int) -> None:
-        self.total_ticks += 1
-        credit = self._credit
-        c = credit[node] - 1
-        if c:
-            credit[node] = c
+        chain = self._chain[node]
+        ptr = self._cptr[node]
+        if self._skip:
+            # Count the chain ticks the node slept through while locked
+            # (never queued: a locked tick is a no-op), then this one.
+            start = ptr
+            now = self.sim.now
+            while chain[ptr] < now:
+                ptr += 1
+            self._elided += ptr - start
+            self.total_ticks += ptr - start + 1
+        else:
+            self.total_ticks += 1
+        ptr += 1
+        if ptr < len(chain):
+            self._cptr[node] = ptr
         else:
             self._refill_window(node)
         if self._locked[node]:
@@ -371,6 +411,55 @@ class MultiLeaderConsensusSim:
         v2 = self._sample_other(node)
         v3 = self._sample_other(node)
         self.sim.schedule_in(self._channel_delay(), self._exchange, (node, v1, v2, v3))
+
+    def _unlock(self, node: int) -> None:
+        """End the node's cycle; in skip mode queue its next chain tick.
+
+        The next tick is queued only if it comes before the window's
+        last tick, which is queued already.  The ones before it passed
+        while the node was locked; the next dispatched tick counts them.
+        """
+        if self._skip and self._locked[node]:
+            chain = self._chain[node]
+            ptr = self._cptr[node]
+            last = len(chain) - 1
+            now = self.sim.now
+            while ptr < last and chain[ptr] <= now:
+                ptr += 1
+            if ptr < last:
+                self.sim.schedule(chain[ptr], self._tick, node)
+        self._locked[node] = False
+
+    def _count_passed_ticks(self) -> None:
+        """Count the chain ticks up to the clock that were never dispatched."""
+        now = self.sim.now
+        cptr = self._cptr
+        passed = 0
+        for node, chain in enumerate(self._chain):
+            ptr = start = cptr[node]
+            while ptr < len(chain) and chain[ptr] <= now:
+                ptr += 1
+            cptr[node] = ptr
+            passed += ptr - start
+        self.total_ticks += passed
+        self._elided += passed
+
+    def _stop_skipping(self, schedule_many_at) -> None:
+        """Queue every later chain tick: a churn guard rules on ticks.
+
+        Called when a fault wrapper with a churn guard is bound to an
+        already-built protocol; ``schedule_many_at`` is the wrapper's raw
+        seam, as these ticks were drawn before the wrapper existed.
+        """
+        if not self._skip or not self.sim.ticks_guarded:
+            return
+        self._count_passed_ticks()
+        self._skip = False
+        for node, chain in enumerate(self._chain):
+            # An unlocked node's next tick is queued already.
+            ptr = self._cptr[node] + (not self._locked[node])
+            if ptr < len(chain) - 1:
+                schedule_many_at(chain[ptr:-1], self._tick, [node] * (len(chain) - 1 - ptr))
 
     def _exchange(self, payload: tuple[int, int, int, int]) -> None:
         node, v1, v2, v3 = payload
@@ -385,19 +474,19 @@ class MultiLeaderConsensusSim:
             for sample in (v1, v2, v3):
                 self._set_state(sample, gens[sample], col)
                 finished[sample] = True
-            self._locked[node] = False
+            self._unlock(node)
             return
         for sample in (v1, v2, v3):
             if finished[sample]:
                 self._set_state(node, gens[node], cols[sample])
                 finished[node] = True
-                self._locked[node] = False
+                self._unlock(node)
                 return
 
         sampled_leader = self.leaders.get(leader_of[v3])
         if sampled_leader is None:
             # Line 8: non-active cluster sampled — abort the cycle.
-            self._locked[node] = False
+            self._unlock(node)
             return
         l_gen = sampled_leader.gen
         l_state = sampled_leader.state
@@ -440,7 +529,7 @@ class MultiLeaderConsensusSim:
         # Line 20: the generation budget is the finish line.
         if gens[node] >= self.params.max_generation:
             finished[node] = True
-        self._locked[node] = False
+        self._unlock(node)
 
     def _set_state(self, node: int, gen: int, col: int) -> None:
         gens = self._gens
@@ -565,6 +654,8 @@ class MultiLeaderConsensusSim:
             self.sim.run(until=max_time, stop_when=done)
         else:
             self.sim.run(until=max_time)
+        if self._skip:
+            self._count_passed_ticks()
         if self._elide:
             self._settle_signals()
         epsilon_time = self._eps_time

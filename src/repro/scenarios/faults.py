@@ -34,7 +34,9 @@ rejected whole, before any handle or draw is spent, and a bad scalar
 delay raises before the drop draw, exactly as on a plain simulator.
 Blocks that no fault rules on one by one keep bulk intake: internal
 events, and clock ticks unless a churn guard is installed.  Message and
-exchange blocks meet the transform chain event by event.
+exchange blocks meet the transform chain event by event.  For the same
+reason an internal event or, without a churn guard, a clock tick
+scheduled at an absolute time keeps that exact time.
 
 Where a fault rules on an event matters for elision.  Drops, bursts
 and straggler slowdowns are decided when the event is *scheduled*;
@@ -50,6 +52,13 @@ does this for its cluster leaders' 0-signals
 switch elision off on a wrapped simulator
 (:attr:`~repro.engine.simulator.Simulator.intercepted`), so there every
 0-signal is a real event that meets the transform chain.
+
+Ticks are owned by their node, so only the churn guard rules on them,
+at dispatch.  Without one, a tick meets no fault at all: multileader
+consensus keeps skipping the ticks a locked node sleeps through and
+queues the others lazily at their stored times.  With one, the wrapper
+sets :attr:`~repro.engine.simulator.Simulator.ticks_guarded` and the
+protocol queues every tick, so each meets the guard.
 
 Two residual notes: (1) with :func:`inject_faults` the initial batch of
 tick events is scheduled during protocol construction, *before* the
@@ -463,7 +472,9 @@ class FaultInjection:
     block is validated whole; ticks (without churn) and internal events
     keep bulk intake, and only message and exchange blocks meet the
     transform chain event by event, so fault semantics are independent
-    of how the protocol batches its inserts.  Node-less messages
+    of how the protocol batches its inserts.  Without churn, a tick
+    scheduled at an absolute time keeps it exactly, so a skip-tick
+    chain's lazily queued tick lands on its stored time.  Node-less messages
     (leader signals) are ruled on at schedule time only, never by the
     churn guard; that is what lets ``admit_many_at`` give an eliding
     protocol the verdict for a block of them up front.
@@ -505,6 +516,7 @@ class FaultInjection:
         # 0-signal, so each one meets the transform chain (multileader
         # consensus asks admit_many_at instead).
         sim.intercepted = True
+        sim.ticks_guarded = self._has_churn
         for fault in self.faults:
             fault.install(self)
 
@@ -512,13 +524,15 @@ class FaultInjection:
         """Attach the protocol object (unlock/reset seam) after construction.
 
         A protocol built before the wrapper existed (the
-        :func:`inject_faults` path) may hold elided 0-signals; they are
-        handed to the raw queue, as they were scheduled before the
-        wrapper, and the protocol schedules every later one through it.
+        :func:`inject_faults` path) may hold elided 0-signals, or, under
+        a churn guard, unqueued skip-tick chain ticks; they are handed
+        to the raw queue, as they were drawn before the wrapper, and the
+        protocol schedules every later one through it.
         """
-        stop_eliding = getattr(sim_obj, "_stop_eliding", None)
-        if stop_eliding is not None:
-            stop_eliding(self._original_schedule_many_at)
+        for hook in ("_stop_eliding", "_stop_skipping"):
+            stop = getattr(sim_obj, hook, None)
+            if stop is not None:
+                stop(self._original_schedule_many_at)
         self.adapter = ProtocolAdapter(sim_obj)
         return self
 
@@ -531,10 +545,13 @@ class FaultInjection:
     def _schedule(self, time: float, action: Callable, payload: Any = None) -> int:
         """Absolute-time seam: route through the scalar transform chain.
 
-        Internal events meet no fault and keep their exact time (an
-        elided signal's crossing lands on the arrival it stands for).
+        Internal events, and clock ticks without a churn guard, meet no
+        fault and keep their exact time (an elided signal's crossing
+        lands on the arrival it stands for; a skip-tick chain's tick on
+        its stored time).
         """
-        if getattr(action, "__name__", "") not in _CATEGORY:
+        category = _CATEGORY.get(getattr(action, "__name__", ""))
+        if category is None or (category is TICK and not self._has_churn):
             return self._original_schedule(time, action, payload)
         return self._schedule_in(time - self.sim.now, action, payload)
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,6 +91,34 @@ class TestTimeUnit:
 
     def test_monotone_in_quantile(self):
         assert time_unit_steps(1.0, quantile=0.95) > time_unit_steps(1.0, quantile=0.5)
+
+    @pytest.mark.parametrize(
+        "rate, options",
+        [
+            (1.0, {}),
+            (0.3, {"quantile": 0.75, "random_contacts": 3, "leader_contacts": 2}),
+            (2.0, {"clock_rate": 0.5, "plan": ChannelPlan.SEQUENTIAL}),
+        ],
+    )
+    def test_cached_value_is_the_quantile(self, rate, options):
+        quantile = options.pop("quantile", 0.9)
+        exact = cycle_distribution(rate, **options).quantile(quantile)
+        assert time_unit_steps(rate, quantile=quantile, **options) == exact
+        assert time_unit_steps(rate, quantile=quantile, **options) == exact  # cache hit
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """scipy is imported lazily, by the first CDF evaluation."""
+    paths = [str(Path(__file__).resolve().parents[2] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = (
+        "import sys, repro, repro.core, repro.sweep, repro.multileader\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRemark14:

@@ -1,12 +1,14 @@
-"""Cluster-leader signal elision against a run that dispatches every signal.
+"""Signal elision and skip-tick chains against a run that dispatches everything.
 
 On the batch engine at window > 1, multileader consensus counts the
 line-1 ``(0, 3, ·)`` signals in per-leader arrival buffers and
-dispatches one crossing event per tick threshold.  ``Dispatched`` below
-keeps the handlers that queue every one of them, so the same seed on
-both must give the same run: leader transitions, counters, fault
-counters and trace records, under faults too (a leader signal has no
-owner node, so every fault model rules on it when it is scheduled).
+dispatches one crossing event per tick threshold.  Without a churn
+guard it also queues only a node's good ticks and the window's last
+tick, counting the ticks a locked node sleeps through.  ``Dispatched``
+below keeps the handlers that queue every signal and every tick, so the
+same seed on both must give the same run: leader transitions, counters,
+fault counters and trace records, under faults too (a leader signal has
+no owner node, so every fault model rules on it when it is scheduled).
 """
 
 from __future__ import annotations
@@ -36,8 +38,23 @@ from repro.workloads.opinions import biased_counts
 N = 100
 
 
+class Counted(MultiLeaderConsensusSim):
+    """The engine under test, counting the tick events it dispatches."""
+
+    tick_events = 0
+
+    def _tick(self, node: int) -> None:
+        self.tick_events += 1
+        super()._tick(node)
+
+
 class Dispatched(MultiLeaderConsensusSim):
-    """Consensus with the signal handlers from before elision."""
+    """Consensus with the signal and tick handlers from before elision."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._skip = False
+        self._credit = [1] * self.n
 
     def _refill_window(self, node: int) -> None:
         """Next tick window + (0, 3, ·)-signal fan-out, two bulk inserts."""
@@ -65,6 +82,26 @@ class Dispatched(MultiLeaderConsensusSim):
     def _deliver_signal(self, payload) -> None:
         state, i, s, has_changed = payload
         state.on_signal(i, s, has_changed, self.sim.now)
+
+    def _tick(self, node: int) -> None:
+        self.total_ticks += 1
+        credit = self._credit
+        c = credit[node] - 1
+        if c:
+            credit[node] = c
+        else:
+            self._refill_window(node)
+        if self._locked[node]:
+            return
+        self._locked[node] = True
+        self.good_ticks += 1
+        v1 = self._sample_other(node)
+        v2 = self._sample_other(node)
+        v3 = self._sample_other(node)
+        self.sim.schedule_in(self._channel_delay(), self._exchange, (node, v1, v2, v3))
+
+    def _unlock(self, node: int) -> None:
+        self._locked[node] = False
 
 
 @pytest.fixture(autouse=True)
@@ -116,14 +153,21 @@ def _fingerprint(sim, result, injection, tracer) -> dict:
     }
 
 
-def _differential(seed: int, faults=None, *, wiring: str = "prepare", **run):
-    elided, injection, tracer = _build(MultiLeaderConsensusSim, seed, faults, wiring=wiring)
+def _differential(seed: int, faults=None, *, wiring: str = "prepare", skip: bool = True, **run):
+    elided, injection, tracer = _build(Counted, seed, faults, wiring=wiring)
     reference, ref_injection, ref_tracer = _build(Dispatched, seed, faults, wiring=wiring)
+    assert elided._skip is skip
     result = elided.run(**run)
     expected = _fingerprint(reference, reference.run(**run), ref_injection, ref_tracer)
     assert elided.sim.events_elided > 0
     assert reference.sim.events_elided == 0
     assert _fingerprint(elided, result, injection, tracer) == expected
+    # Same tick count; skip mode dispatches fewer of them.
+    assert elided.total_ticks == reference.total_ticks > 0
+    if skip:
+        assert elided.tick_events < elided.total_ticks
+    else:
+        assert elided.tick_events == elided.total_ticks
     return elided, expected
 
 
@@ -153,8 +197,34 @@ def test_bursty_drop_injected_after_construction():
 
 
 def test_churn_and_stragglers():
-    _, expected = _differential(4, _churn_and_stragglers, max_time=3000.0)
+    _, expected = _differential(4, _churn_and_stragglers, skip=False, max_time=3000.0)
     assert expected["faults"]["fault_crashes"] > 0
+
+
+def test_churn_injected_after_construction():
+    _, expected = _differential(
+        8, _churn_and_stragglers, wiring="inject", skip=False, max_time=40.0
+    )
+    assert expected["faults"]["fault_deferred_ticks"] > 0
+
+
+def test_stragglers_keep_skipping():
+    _differential(9, lambda: [Stragglers(0.3)], max_time=40.0)
+
+
+def test_churn_injected_mid_run_queues_the_rest_of_each_chain():
+    """Skip mode until a churn guard arrives, then every tick is queued."""
+    runs = []
+    for cls in (Counted, Dispatched):
+        sim, _, tracer = _build(cls, 10, None)
+        sim.run(max_time=6.0)
+        injection = inject_faults(sim, _churn_and_stragglers(), RngRegistry(10).stream("faults"))
+        runs.append((sim, sim.run(max_time=40.0), injection, tracer))
+    skipping = runs[0][0]
+    assert not skipping._skip
+    assert skipping.sim.events_elided > 0
+    assert injection.info()["fault_deferred_ticks"] > 0
+    assert _fingerprint(*runs[0]) == _fingerprint(*runs[1])
 
 
 def test_epsilon_stop():

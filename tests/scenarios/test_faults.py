@@ -347,3 +347,28 @@ def test_wrapped_scalar_seam_rejects_bad_delay_before_dropping(delay):
             simulator.schedule_in(delay, _deliver_signal)
         assert wiring.dropped_messages == 0
         assert drop._pool.remaining == 0
+
+
+class _Clock:
+    """A protocol stand-in whose ``_tick`` handler records the clock."""
+
+    def __init__(self, simulator):
+        self.simulator = simulator
+        self.seen = []
+
+    def _tick(self, node):
+        self.seen.append(self.simulator.now)
+
+
+def test_wrapped_absolute_tick_keeps_its_exact_time():
+    """Without a churn guard a tick meets no fault, so the wrapper queues it
+    at the given time, not at ``now + (time - now)`` (they differ here)."""
+    now, time = 0.7972877146661437, 3.190076619156882
+    assert now + (time - now) != time
+    simulator, _ = prepare_faulty_simulator(10, [IidDrop(0.5)], RngRegistry(0).stream("faults"))
+    assert not simulator.ticks_guarded
+    simulator.run(until=now)
+    clock = _Clock(simulator)
+    simulator.schedule(time, clock._tick, 3)
+    simulator.run()
+    assert clock.seen == [time]
